@@ -997,10 +997,8 @@ class FanOutHarness {
     hello.stream_name = "fan";
     xcql::net::Frame h;
     h.type = xcql::net::FrameType::kHello;
-    h.flags = xcql::net::kHelloFlagCrcFrames;
-    if (filtered) h.flags |= xcql::net::kHelloFlagTsidFilter;
     h.payload = xcql::net::EncodeHello(hello);
-    auto out = xcql::net::EncodeFrame(h, xcql::net::kFrameVersion);
+    auto out = xcql::net::EncodeFrame(h);
     if (!out.ok()) {
       ::close(fd);
       return out.status().ToString();

@@ -140,20 +140,16 @@ bool ChaosLink::SendToClient(Conn* conn, const std::string& bytes) {
 bool ChaosLink::ForwardControlFrame(Conn* conn, std::string frame,
                                     Random* rng) {
   control_frames_.fetch_add(1, std::memory_order_relaxed);
-  const uint8_t version = static_cast<uint8_t>(frame[4]);
-  const size_t header = version == kFrameVersionCrc ? kFrameHeaderSizeCrc
-                                                    : kFrameHeaderSize;
   // Only the corrupt fault applies to control frames (see ChaosLinkOptions):
-  // the server's decoders and checksums are the detectors under test. Bits
-  // flip in the payload; v1 frames reach the decoder as garbage the server
-  // must count-and-drop, v2 frames die at the checksum.
-  if (frame.size() > header &&
+  // the server's checksum is the detector under test. Bits flip in the
+  // payload, so every mangled frame dies at the checksum.
+  if (frame.size() > kFrameHeaderSize &&
       rng->NextDouble() < opts_.faults.control_corrupt) {
     control_corrupted_.fetch_add(1, std::memory_order_relaxed);
     int flips = 1 + static_cast<int>(rng->Uniform(3));
     for (int i = 0; i < flips; ++i) {
-      size_t off =
-          header + static_cast<size_t>(rng->Uniform(frame.size() - header));
+      size_t off = kFrameHeaderSize + static_cast<size_t>(rng->Uniform(
+                                          frame.size() - kFrameHeaderSize));
       frame[off] = static_cast<char>(
           static_cast<uint8_t>(frame[off]) ^
           static_cast<uint8_t>(1u << rng->Uniform(8)));
@@ -166,7 +162,6 @@ bool ChaosLink::ForwardFrame(Conn* conn, std::string frame, Random* rng,
                              std::string* held) {
   frames_.fetch_add(1, std::memory_order_relaxed);
   const uint8_t type = static_cast<uint8_t>(frame[5]);
-  const uint8_t version = static_cast<uint8_t>(frame[4]);
   const bool faultable =
       type == static_cast<uint8_t>(FrameType::kFragment) ||
       (opts_.fault_heartbeats &&
@@ -195,8 +190,7 @@ bool ChaosLink::ForwardFrame(Conn* conn, std::string frame, Random* rng,
       return true;
     }
     roll -= f.reorder;
-    if (roll < f.corrupt && version == kFrameVersionCrc &&
-        frame.size() > kFrameHeaderSizeCrc) {
+    if (roll < f.corrupt && frame.size() > kFrameHeaderSize) {
       // Flip payload bits only: the checksum (which covers them) is the
       // detector under test. Flipping header/length bytes would instead
       // desynchronize framing — a different fault class, closer to
@@ -204,9 +198,9 @@ bool ChaosLink::ForwardFrame(Conn* conn, std::string frame, Random* rng,
       corrupted_.fetch_add(1, std::memory_order_relaxed);
       int flips = 1 + static_cast<int>(rng->Uniform(3));
       for (int i = 0; i < flips; ++i) {
-        size_t off = kFrameHeaderSizeCrc +
-                     static_cast<size_t>(rng->Uniform(
-                         frame.size() - kFrameHeaderSizeCrc));
+        size_t off = kFrameHeaderSize +
+                     static_cast<size_t>(
+                         rng->Uniform(frame.size() - kFrameHeaderSize));
         frame[off] = static_cast<char>(
             static_cast<uint8_t>(frame[off]) ^
             static_cast<uint8_t>(1u << rng->Uniform(8)));
@@ -259,15 +253,10 @@ void ChaosLink::PumpFramed(
         pos = acc.size();
         break;
       }
-      const uint8_t version = static_cast<uint8_t>(h[4]);
-      const size_t header = version == kFrameVersionCrc
-                                ? kFrameHeaderSizeCrc
-                                : kFrameHeaderSize;
-      if (acc.size() - pos < header) break;
       const uint32_t len = PeekU32(h + 16);
-      if (acc.size() - pos < header + len) break;
-      std::string frame = acc.substr(pos, header + len);
-      pos += header + len;
+      if (acc.size() - pos < kFrameHeaderSize + len) break;
+      std::string frame = acc.substr(pos, kFrameHeaderSize + len);
+      pos += kFrameHeaderSize + len;
       alive = forward(std::move(frame));
     }
     acc.erase(0, pos);

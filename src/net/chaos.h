@@ -13,9 +13,8 @@
 //   drop       the frame never arrives
 //   duplicate  the frame arrives twice
 //   reorder    the frame is held back and delivered after its successor
-//   corrupt    1–3 payload bits flip (v2 frames only — the checksum is
-//              what detects this; flipping v1 bytes would inject silent
-//              garbage the protocol cannot see)
+//   corrupt    1–3 payload bits flip (the frame checksum is what
+//              detects this)
 //   truncate   a prefix of the frame is sent and the connection is cut
 //              mid-frame (the half-dead-link case)
 //

@@ -143,10 +143,16 @@ void EventLoop::Wake() {
 
 void EventLoop::DrainWakePipe() {
   took_wake_ = true;
-  wake_pending_.store(false, std::memory_order_release);
+  // Empty the pipe first, then re-arm Wake(). In the other order a Wake()
+  // landing between the two has its byte swallowed while the flag stays
+  // set, and every later Wake() returns early: the loop would only run on
+  // fd events and timeouts for the rest of the process. This way a Wake()
+  // before the clear is covered by this very pass (took_wake_), and one
+  // after it writes a fresh byte.
   char buf[64];
   while (::read(wake_rd_, buf, sizeof(buf)) > 0) {
   }
+  wake_pending_.exchange(false, std::memory_order_acq_rel);
 }
 
 Result<int> EventLoop::Wait(std::vector<LoopEvent>* out, int timeout_ms) {

@@ -102,7 +102,6 @@ class EventLoop {
   std::atomic<bool> wake_pending_{false};
   bool took_wake_ = false;  // owner thread only
   std::unordered_map<int, Interest> interest_;  // owner thread only
-  std::vector<LoopEvent> scratch_;
 };
 
 }  // namespace xcql::net

@@ -78,13 +78,16 @@ uint32_t Crc32cRaw(uint32_t crc, const char* data, size_t len) {
   return crc;
 }
 
+// Offset of the checksum field: it follows the fields it covers.
+constexpr size_t kCrcOffset = 20;
+
 // The frame checksum: CRC32C over header bytes [4, 20) (version through
 // length — magic is the resync marker and excluded) followed by the
 // payload.
 uint32_t FrameCrc(const char* header, const char* payload,
                   size_t payload_len) {
   uint32_t crc = 0xFFFFFFFFu;
-  crc = Crc32cRaw(crc, header + 4, kFrameHeaderSize - 4);
+  crc = Crc32cRaw(crc, header + 4, kCrcOffset - 4);
   crc = Crc32cRaw(crc, payload, payload_len);
   return crc ^ 0xFFFFFFFFu;
 }
@@ -127,47 +130,25 @@ const char* FrameTypeName(FrameType type) {
   return "?";
 }
 
-Result<std::string> EncodeFrame(const Frame& frame, uint8_t version) {
+Result<std::string> EncodeFrame(const Frame& frame) {
   if (frame.payload.size() > kMaxFramePayload) {
     return Status::InvalidArgument(StringPrintf(
         "frame payload of %llu bytes exceeds the %u-byte limit",
         static_cast<unsigned long long>(frame.payload.size()),
         kMaxFramePayload));
   }
-  if (version != kFrameVersion && version != kFrameVersionCrc) {
-    return Status::InvalidArgument(
-        StringPrintf("cannot encode frame version %u", version));
-  }
   std::string out;
-  size_t header = version == kFrameVersionCrc ? kFrameHeaderSizeCrc
-                                              : kFrameHeaderSize;
-  out.reserve(header + frame.payload.size());
+  out.reserve(kFrameHeaderSize + frame.payload.size());
   PutU32(&out, kFrameMagic);
-  out.push_back(static_cast<char>(version));
+  out.push_back(static_cast<char>(kFrameVersion));
   out.push_back(static_cast<char>(frame.type));
   out.push_back(static_cast<char>(frame.flags));
   out.push_back(0);  // reserved
   PutU64(&out, frame.seq);
   PutU32(&out, static_cast<uint32_t>(frame.payload.size()));
-  if (version == kFrameVersionCrc) {
-    PutU32(&out, FrameCrc(out.data(), frame.payload.data(),
-                          frame.payload.size()));
-  }
+  PutU32(&out,
+         FrameCrc(out.data(), frame.payload.data(), frame.payload.size()));
   out += frame.payload;
-  return out;
-}
-
-std::string DowngradeFrameToV1(std::string_view frame_bytes) {
-  if (frame_bytes.size() < kFrameHeaderSizeCrc ||
-      static_cast<uint8_t>(frame_bytes[4]) != kFrameVersionCrc) {
-    return std::string(frame_bytes);
-  }
-  std::string out;
-  out.reserve(frame_bytes.size() - 4);
-  out.append(frame_bytes.data(), kFrameHeaderSize);  // header sans crc
-  out[4] = static_cast<char>(kFrameVersion);
-  out.append(frame_bytes.data() + kFrameHeaderSizeCrc,
-             frame_bytes.size() - kFrameHeaderSizeCrc);
   return out;
 }
 
@@ -175,15 +156,11 @@ std::string WithRepeatFlag(std::string frame_bytes) {
   if (frame_bytes.size() < kFrameHeaderSize) return frame_bytes;
   frame_bytes[6] = static_cast<char>(static_cast<uint8_t>(frame_bytes[6]) |
                                      kFlagRepeat);
-  if (static_cast<uint8_t>(frame_bytes[4]) == kFrameVersionCrc &&
-      frame_bytes.size() >= kFrameHeaderSizeCrc) {
-    uint32_t crc = FrameCrc(frame_bytes.data(),
-                            frame_bytes.data() + kFrameHeaderSizeCrc,
-                            frame_bytes.size() - kFrameHeaderSizeCrc);
-    for (int i = 0; i < 4; ++i) {
-      frame_bytes[kFrameHeaderSize + i] =
-          static_cast<char>((crc >> (8 * i)) & 0xff);
-    }
+  uint32_t crc = FrameCrc(frame_bytes.data(),
+                          frame_bytes.data() + kFrameHeaderSize,
+                          frame_bytes.size() - kFrameHeaderSize);
+  for (int i = 0; i < 4; ++i) {
+    frame_bytes[kCrcOffset + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
   }
   return frame_bytes;
 }
@@ -208,37 +185,28 @@ Result<std::optional<Frame>> FrameReader::Next() {
     return Status::ParseError("bad frame magic (stream out of sync)");
   }
   uint8_t version = static_cast<uint8_t>(h[4]);
-  if (version != kFrameVersion && version != kFrameVersionCrc) {
-    return Status::Unsupported(
-        StringPrintf("frame version %u (expected %u or %u)", version,
-                     kFrameVersion, kFrameVersionCrc));
+  if (version != kFrameVersion) {
+    return Status::Unsupported(StringPrintf(
+        "frame version %u (expected %u)", version, kFrameVersion));
   }
-  size_t header = version == kFrameVersionCrc ? kFrameHeaderSizeCrc
-                                              : kFrameHeaderSize;
-  if (buffered() < header) return std::optional<Frame>();
   uint32_t len = GetU32(h + 16);
   if (len > kMaxFramePayload) {
     return Status::ParseError(
         StringPrintf("frame payload of %u bytes exceeds the %u limit", len,
                      kMaxFramePayload));
   }
-  if (buffered() < header + len) return std::optional<Frame>();
-  if (version == kFrameVersionCrc) {
-    uint32_t want = GetU32(h + kFrameHeaderSize);
-    uint32_t got = FrameCrc(h, h + header, len);
-    if (want != got) {
-      // The framing held up (magic + plausible length) but the contents
-      // did not: skip the frame and report it as corrupt instead of
-      // killing the stream — the caller decides how to recover.
-      Frame frame;
-      frame.crc_ok = false;
-      frame.wire_version = version;
-      frame.type = FrameType::kHeartbeat;  // placeholder, untrusted
-      frame.flags = 0;
-      frame.seq = GetU64(h + 8);  // untrusted, for logging only
-      pos_ += header + len;
-      return std::optional<Frame>(std::move(frame));
-    }
+  if (buffered() < kFrameHeaderSize + len) return std::optional<Frame>();
+  if (GetU32(h + kCrcOffset) != FrameCrc(h, h + kFrameHeaderSize, len)) {
+    // The framing held up (magic + plausible length) but the contents
+    // did not: skip the frame and report it as corrupt instead of
+    // killing the stream — the caller decides how to recover.
+    Frame frame;
+    frame.crc_ok = false;
+    frame.type = FrameType::kHeartbeat;  // placeholder, untrusted
+    frame.flags = 0;
+    frame.seq = GetU64(h + 8);  // untrusted, for logging only
+    pos_ += kFrameHeaderSize + len;
+    return std::optional<Frame>(std::move(frame));
   }
   uint8_t type = static_cast<uint8_t>(h[5]);
   if (!ValidFrameType(type)) {
@@ -248,9 +216,8 @@ Result<std::optional<Frame>> FrameReader::Next() {
   frame.type = static_cast<FrameType>(type);
   frame.flags = static_cast<uint8_t>(h[6]);
   frame.seq = GetU64(h + 8);
-  frame.wire_version = version;
-  frame.payload.assign(h + header, len);
-  pos_ += header + len;
+  frame.payload.assign(h + kFrameHeaderSize, len);
+  pos_ += kFrameHeaderSize + len;
   return std::optional<Frame>(std::move(frame));
 }
 

@@ -4,8 +4,9 @@
 // Frame layout (all integers little-endian):
 //
 //   offset  size  field
-//        0     4  magic  "XFRM"
-//        4     1  version (1 or 2, see below)
+//        0     4  magic   "XFRM"
+//        4     1  version (kFrameVersion; a frame with any other version is
+//                          rejected as Unsupported)
 //        5     1  type    (FrameType)
 //        6     1  flags   (kFlagCompressedPayload: payload is the §4.1
 //                          tag-compressed form instead of plain XML;
@@ -16,17 +17,17 @@
 //                          frames carry their 0-based publish position,
 //                          heartbeats the count of frames published so far)
 //       16     4  payload length
-//   [v2] 20     4  CRC32C over bytes [4, 20) + payload (Castagnoli,
-//                  reflected, init/xorout 0xFFFFFFFF). v1 has no checksum.
-//    20/24    n  payload
+//       20     4  CRC32C over bytes [4, 20) + payload (Castagnoli,
+//                 reflected, init/xorout 0xFFFFFFFF)
+//       24     n  payload
 //
-// Version negotiation: HELLO frames are always encoded as v1 (so a peer of
-// either vintage can parse them) and advertise checksum support with the
-// kHelloFlagCrcFrames frame-flag bit. When both sides set the bit, all
-// subsequent frames on the connection are v2; otherwise everything stays
-// v1. Old peers send flags=0 and ignore unknown flag bits, so they
-// interoperate unchanged. The REPEAT_REQUEST frame type likewise exists
-// only on negotiated-v2 connections (an old decoder rejects it fatally).
+// Every frame carries its checksum, in both directions and on disk (WAL
+// segments, the WAL MANIFEST and the query registry hold the same
+// frames). A HELLO's flags byte is 0: what a connection may exchange
+// follows from state the server already has. A peer speaking another
+// frame version is refused cleanly — the server answers such a first
+// frame with BYE, and the subscriber counts a foreign-version frame
+// before its handshake as a rejection.
 //
 // Conversation: the subscriber opens with HELLO (stream name, desired
 // codec, known tag-structure hash or 0), the server answers with HELLO
@@ -35,30 +36,25 @@
 // sends REPLAY_FROM(last seen seq; -1 for everything) and receives the
 // replayed history followed by live FRAGMENT frames. HEARTBEATs flow
 // server→client on idle; BYE announces an orderly close in either
-// direction. REPEAT_REQUEST(filler id) flows client→server to NACK a
-// missing filler: the server re-sends every logged frame of that filler
-// with its original seq and kFlagRepeat set.
+// direction, and at handshake it is the server's rejection. A
+// REPEAT_REQUEST(filler id) flows client→server to NACK a missing
+// filler: the server re-sends every logged frame of that filler with its
+// original seq and kFlagRepeat set.
 //
-// Protocol v3 — the remote query channel. A client that sets
-// kHelloFlagQueryChannel in its HELLO (and sees the server echo it back)
-// may send QUERY frames: XCQL text plus ExecMethod / HolePolicy /
-// TickPolicy options and a resume position. The server registers the
-// query in its incremental engine and answers with QUERY_STATUS (token
-// echoed, assigned query id, or a rejection code + message). From then
-// on every engine tick's delta for that query arrives as a RESULT frame:
-// frame.seq is a per-query result sequence number with the same
-// contiguity / REPLAY_FROM-style resume / epoch-reset semantics as
-// fragment seqs (the resume point travels inside the QUERY frame rather
-// than in REPLAY_FROM, which stays scoped to the fragment log). UNQUERY
-// deregisters; the server confirms with QUERY_STATUS. Downgrade rule:
-// old peers ignore unknown HELLO flag bits, so the channel silently
-// negotiates away — query frames never flow to a peer that did not echo
-// the bit, and the v3 frame types (7–10) are never emitted on such a
-// connection (an old decoder rejects them fatally, like REPEAT_REQUEST
-// on v1).
+// The remote query channel. A client may send QUERY frames: XCQL text
+// plus ExecMethod / HolePolicy / TickPolicy options and a resume
+// position. The server registers the query in its incremental engine and
+// answers with QUERY_STATUS (token echoed, assigned query id, or a
+// rejection code + message; a server without a query channel rejects
+// every QUERY with kQueryStatusRejected). From then on every engine
+// tick's delta for that query arrives as a RESULT frame: frame.seq is a
+// per-query result sequence number with the same contiguity /
+// REPLAY_FROM-style resume / epoch-reset semantics as fragment seqs (the
+// resume point travels inside the QUERY frame rather than in
+// REPLAY_FROM, which stays scoped to the fragment log). UNQUERY
+// deregisters; the server confirms with QUERY_STATUS.
 //
-// Per-tsid subscription filters (v3 extension). A client that sets
-// kHelloFlagTsidFilter (and sees it echoed) may send a SUBSCRIBE frame
+// Per-tsid subscription filters. A client may send a SUBSCRIBE frame
 // naming tag-structure ids; the server expands each id to its schema
 // subtree closure and from then on delivers only FRAGMENT frames whose
 // tsid falls inside the closure. Filtered-out seqs would look like gaps
@@ -96,29 +92,10 @@
 namespace xcql::net {
 
 inline constexpr uint32_t kFrameMagic = 0x4D52'4658;  // "XFRM" on the wire
-inline constexpr uint8_t kFrameVersion = 1;
-inline constexpr uint8_t kFrameVersionCrc = 2;
-inline constexpr size_t kFrameHeaderSize = 20;
-inline constexpr size_t kFrameHeaderSizeCrc = 24;
+inline constexpr uint8_t kFrameVersion = 2;
+inline constexpr size_t kFrameHeaderSize = 24;
 inline constexpr uint8_t kFlagCompressedPayload = 0x01;
 inline constexpr uint8_t kFlagRepeat = 0x02;
-/// HELLO frame-flag bit: "I can speak the v2 (checksummed) frame format".
-inline constexpr uint8_t kHelloFlagCrcFrames = 0x02;
-/// HELLO frame-flag bit: "I speak the v3 remote-query channel". The
-/// client advertises it; the server echoes it back only when a query
-/// channel is actually attached, so both sides know whether QUERY /
-/// RESULT frames may flow on this connection.
-inline constexpr uint8_t kHelloFlagQueryChannel = 0x04;
-/// HELLO frame-flag bit: "I speak per-tsid subscription filters"
-/// (SUBSCRIBE / SKIP_TO frames). Client advertises, server echoes when it
-/// supports filtering; neither frame type flows unless both bits met.
-inline constexpr uint8_t kHelloFlagTsidFilter = 0x08;
-/// HELLO frame-flag bit: "I understand retention (EXPIRED frames)". The
-/// client advertises it; the server echoes it back only when a retention
-/// policy is active. A subscriber that did not negotiate the bit and asks
-/// to resume below the retention floor gets a clean BYE instead of a
-/// frame type it would reject fatally.
-inline constexpr uint8_t kHelloFlagRetention = 0x10;
 // Sanity bound: a received frame larger than this is treated as stream
 // corruption, and EncodeFrame refuses to produce one. Tied to the codec
 // layer's publish-time limit so an accepted fragment always frames.
@@ -133,19 +110,18 @@ enum class FrameType : uint8_t {
   kHeartbeat = 3,
   kReplayFrom = 4,
   kBye = 5,
-  kRepeatRequest = 6,  // v2-only: NACK for a missing filler id
-  kQuery = 7,          // v3: register a continuous query (client→server)
-  kUnquery = 8,        // v3: deregister a query (client→server)
-  kResult = 9,         // v3: one tick's result delta (server→client)
-  kQueryStatus = 10,   // v3: QUERY/UNQUERY ack or rejection (server→client)
-  kSkipTo = 11,        // v3 filters: advance the contiguous prefix to seq
+  kRepeatRequest = 6,  // NACK for a missing filler id
+  kQuery = 7,          // register a continuous query (client→server)
+  kUnquery = 8,        // deregister a query (client→server)
+  kResult = 9,         // one tick's result delta (server→client)
+  kQueryStatus = 10,   // QUERY/UNQUERY ack or rejection (server→client)
+  kSkipTo = 11,        // filters: advance the contiguous prefix to seq
                        // without data (everything skipped was filtered
                        // out; payload = first seq of the skipped run)
-  kSubscribe = 12,     // v3 filters: set/replace this connection's tsid
+  kSubscribe = 12,     // filters: set/replace this connection's tsid
                        // filter (client→server; empty = deliver everything)
   kExpired = 13,       // retention: a seq range / filler / result range
-                       // was aged out on purpose (server→client; flows
-                       // only after kHelloFlagRetention is negotiated)
+                       // was aged out on purpose (server→client)
 };
 
 const char* FrameTypeName(FrameType type);
@@ -156,47 +132,40 @@ struct Frame {
   uint8_t flags = 0;
   uint64_t seq = 0;
   std::string payload;
-  /// False when a v2 frame failed its checksum. The frame was framed well
+  /// False when the frame failed its checksum. The frame was framed well
   /// enough to skip (magic + length held up) but every other field is
   /// untrusted: type/flags are zeroed, the payload is empty, and seq holds
   /// the wire value for logging only.
   bool crc_ok = true;
-  /// Wire version the frame arrived in (kFrameVersion or kFrameVersionCrc).
-  uint8_t wire_version = kFrameVersion;
 };
 
-/// \brief Serializes header + payload in the given wire version. Fails on
-/// a payload larger than kMaxFramePayload — the decoder is guaranteed to
-/// reject such a frame as stream corruption, so it must never reach the
-/// wire (or the frame log).
-Result<std::string> EncodeFrame(const Frame& frame,
-                                uint8_t version = kFrameVersionCrc);
+/// \brief Serializes header + checksum + payload. Fails on a payload
+/// larger than kMaxFramePayload — the decoder is guaranteed to reject such
+/// a frame as stream corruption, so it must never reach the wire (or the
+/// frame log).
+Result<std::string> EncodeFrame(const Frame& frame);
 
 /// \brief CRC32C (Castagnoli) of `data`; software table implementation.
 uint32_t Crc32c(std::string_view data);
 
-/// \brief Transcodes a well-formed v2-encoded frame to v1 by dropping the
-/// checksum field (for peers that did not negotiate v2). v1 input is
-/// returned unchanged.
-std::string DowngradeFrameToV1(std::string_view frame_bytes);
-
-/// \brief Returns `frame_bytes` with kFlagRepeat set in the flags byte,
-/// recomputing the v2 checksum when present. Input must be a well-formed
-/// encoded frame (it comes from the server's own log).
+/// \brief Returns `frame_bytes` with kFlagRepeat set in the flags byte and
+/// the checksum recomputed. Input must be a well-formed encoded frame (it
+/// comes from the server's own log).
 std::string WithRepeatFlag(std::string frame_bytes);
 
 /// \brief Incremental decoder over a TCP byte stream: Feed() whatever
-/// arrived, then pop complete frames with Next(). Accepts v1 and v2
-/// frames interleaved; a v2 frame whose checksum does not match is
-/// returned with crc_ok=false rather than failing the stream (the frame
-/// boundary itself held up, so the decoder can resync on the next frame).
+/// arrived, then pop complete frames with Next(). A frame whose checksum
+/// does not match is returned with crc_ok=false rather than failing the
+/// stream (the frame boundary itself held up, so the decoder can resync
+/// on the next frame).
 class FrameReader {
  public:
   void Feed(const char* data, size_t len);
 
   /// \brief The next complete frame, std::nullopt when more bytes are
-  /// needed, or a Status on malformed input (bad magic, unknown version,
-  /// oversized payload) — after which the stream is unusable.
+  /// needed, or a Status on malformed input (bad magic, oversized payload,
+  /// or — as Unsupported — a version other than kFrameVersion) — after
+  /// which the stream is unusable.
   Result<std::optional<Frame>> Next();
 
   size_t buffered() const { return buf_.size() - pos_; }

@@ -29,7 +29,7 @@ struct MetricsSnapshot {
   int64_t encode_failures = 0;     // fragments that failed wire encoding
   int64_t repeats_out = 0;         // logged frames re-sent by RepeatFiller
   int64_t gaps_detected = 0;       // seq gaps that forced a reconnect
-  int64_t frames_corrupt = 0;      // v2 frames failing their checksum
+  int64_t frames_corrupt = 0;      // frames failing their checksum
   int64_t liveness_timeouts = 0;   // recv deadlines that forced a reconnect
   int64_t catchup_replays = 0;     // heartbeat-lag REPLAY_FROMs (subscriber)
   int64_t nacks_sent = 0;          // REPEAT_REQUEST frames sent (subscriber)
@@ -46,7 +46,7 @@ struct MetricsSnapshot {
                                    // (durability degraded, server)
   int64_t queries_registered = 0;  // QUERY frames admitted (server)
   int64_t queries_rejected = 0;    // QUERY frames refused: admission limit,
-                                   // bad spec, or unnegotiated channel
+                                   // bad spec, or no query channel
   int64_t result_frames_out = 0;   // RESULT frames enqueued to subscribers
   int64_t fragment_encodes = 0;    // distinct wire encodings of published
                                    // fragments — fan-out shares buffers, so

@@ -122,10 +122,7 @@ Status QueryChannel::Open() {
       if (!frame.crc_ok) {
         // A registry record is written in one append; a failed checksum
         // can only be an unflushed tail. Stop replay here and truncate.
-        valid -= (frame.wire_version == kFrameVersionCrc
-                      ? kFrameHeaderSizeCrc
-                      : kFrameHeaderSize) +
-                 frame.payload.size();
+        valid -= kFrameHeaderSize + frame.payload.size();
         break;
       }
       if (frame.type == FrameType::kQuery) {
@@ -349,8 +346,7 @@ Status QueryChannel::Unregister(uint64_t query_id) {
 }
 
 Status QueryChannel::Subscribe(uint64_t query_id, int64_t last_seq,
-                               const void* handle, Deliver deliver,
-                               bool send_expired) {
+                               const void* handle, Deliver deliver) {
   std::lock_guard<std::mutex> lock(mu_);
   ActivatePendingLocked();
   auto it = queries_.find(query_id);
@@ -366,24 +362,19 @@ Status QueryChannel::Subscribe(uint64_t query_id, int64_t last_seq,
   if (from < state.log_base) {
     // Retention dropped [from, log_base): tell the subscriber the range
     // was aged out on purpose (not lost) so it advances its result cursor
-    // cleanly instead of waiting for seqs that will never arrive. Only a
-    // peer that negotiated kHelloFlagRetention gets the marker — an older
-    // one rejects frame type kExpired as stream corruption, so its replay
-    // just starts silently at the retained base.
-    if (send_expired) {
-      Expired expired;
-      expired.kind = Expired::kResultRange;
-      expired.query_id = query_id;
-      expired.first_seq = from;
-      Frame frame;
-      frame.type = FrameType::kExpired;
-      frame.seq = static_cast<uint64_t>(state.log_base - 1);
-      frame.payload = EncodeExpired(expired);
-      auto bytes = EncodeFrame(frame);
-      if (!bytes.ok()) return bytes.status();
-      deliver(std::make_shared<const std::string>(
-          std::move(bytes).MoveValue()));
-    }
+    // cleanly instead of waiting for seqs that will never arrive.
+    Expired expired;
+    expired.kind = Expired::kResultRange;
+    expired.query_id = query_id;
+    expired.first_seq = from;
+    Frame frame;
+    frame.type = FrameType::kExpired;
+    frame.seq = static_cast<uint64_t>(state.log_base - 1);
+    frame.payload = EncodeExpired(expired);
+    auto bytes = EncodeFrame(frame);
+    if (!bytes.ok()) return bytes.status();
+    deliver(
+        std::make_shared<const std::string>(std::move(bytes).MoveValue()));
     from = state.log_base;
   }
   for (int64_t seq = from;

@@ -118,12 +118,9 @@ class QueryChannel {
   /// keeps delivering live frames, with no gap (both happen under the
   /// channel mutex). `handle` identifies the sink for removal. A resume
   /// below the retained log base opens with an EXPIRED(kResultRange)
-  /// frame — but only when `send_expired` says the peer negotiated
-  /// kHelloFlagRetention; otherwise the replay silently starts at the
-  /// base (an un-negotiated peer rejects frame type kExpired as stream
-  /// corruption, and cutting it would just loop the same resume).
+  /// frame covering the trimmed run.
   Status Subscribe(uint64_t query_id, int64_t last_seq, const void* handle,
-                   Deliver deliver, bool send_expired = true);
+                   Deliver deliver);
 
   /// \brief Detaches one sink from one query (absent = no-op).
   void Unsubscribe(uint64_t query_id, const void* handle);

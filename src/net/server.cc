@@ -29,22 +29,8 @@ std::shared_ptr<const std::string> SharedBytes(std::string bytes) {
   return std::make_shared<const std::string>(std::move(bytes));
 }
 
-// Per-connection view of a logged frame. The common path (v2 peer, not a
-// retransmission) returns the stored buffer itself — zero copies, the
-// whole point of the refcounted log; only old peers and repeats allocate.
-std::shared_ptr<const std::string> TransformFrame(
-    const std::shared_ptr<const std::string>& stored, bool repeat,
-    bool peer_crc) {
-  if (!repeat && peer_crc) return stored;
-  std::string rewritten;
-  if (repeat) rewritten = WithRepeatFlag(*stored);
-  if (!peer_crc) {
-    rewritten = DowngradeFrameToV1(rewritten.empty() ? std::string_view(*stored)
-                                                     : rewritten);
-  }
-  if (rewritten.empty()) return stored;
-  return SharedBytes(std::move(rewritten));
-}
+// The QUERY_STATUS message a server without a query channel answers with.
+constexpr const char kNoQueryChannel[] = "this server offers no query channel";
 
 }  // namespace
 
@@ -749,24 +735,13 @@ void FragmentServer::ServeRepeat(Connection* conn,
 }
 
 void FragmentServer::SendExpiredFiller(Connection* conn, int64_t filler_id) {
-  bool peer_retention;
-  bool peer_crc;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    peer_retention = conn->peer_retention;
-    peer_crc = conn->peer_crc;
-  }
-  // Not negotiated: stay silent, exactly like an unknown filler id — the
-  // subscriber's repair budget eventually reports the filler lost.
-  if (!peer_retention) return;
   Expired expired;
   expired.kind = Expired::kFiller;
   expired.filler_id = filler_id;
   Frame frame;
   frame.type = FrameType::kExpired;
   frame.payload = EncodeExpired(expired);
-  auto bytes =
-      EncodeFrame(frame, peer_crc ? kFrameVersionCrc : kFrameVersion);
+  auto bytes = EncodeFrame(frame);
   if (!bytes.ok()) return;
   metrics_.AddExpiredOut();
   metrics_.AddFillerExpired();
@@ -817,8 +792,10 @@ void FragmentServer::Enqueue(Connection* conn, const LogEntry& entry,
     PushSkipLocked(conn);
   }
   if (!ReserveQueueSlot(conn, lock, may_block)) return;
-  conn->data.push_back(
-      OutFrame{TransformFrame(stored, repeat, conn->peer_crc), false});
+  // The common path queues the logged buffer itself — zero copies, the
+  // whole point of the refcounted log; only a retransmission allocates.
+  conn->data.push_back(OutFrame{
+      repeat ? SharedBytes(WithRepeatFlag(*stored)) : stored, false});
   ++conn->enqueued;
   metrics_.UpdateQueueHwm(static_cast<int64_t>(conn->data.size()));
 }
@@ -884,8 +861,7 @@ void FragmentServer::PushSkipLocked(Connection* conn) {
   skip.type = FrameType::kSkipTo;
   skip.seq = static_cast<uint64_t>(conn->pending_skip);
   skip.payload = EncodeSkipTo(conn->pending_skip_start);
-  auto bytes = EncodeFrame(
-      skip, conn->peer_crc ? kFrameVersionCrc : kFrameVersion);
+  auto bytes = EncodeFrame(skip);
   if (!bytes.ok()) return;  // fixed 8-byte payload: cannot actually fail
   conn->data.push_back(OutFrame{SharedBytes(std::move(bytes).MoveValue()),
                                 /*is_skip=*/true});
@@ -903,15 +879,10 @@ void FragmentServer::EnqueueEncoded(
   // follow the HELLO, and its backlog replay must not wait for a
   // REPLAY_FROM the subscriber may never send.
   if (conn->closing) return;
-  std::shared_ptr<const std::string> out = frame;
-  if (!conn->peer_crc) {
-    std::string down = DowngradeFrameToV1(*frame);
-    if (!down.empty()) out = SharedBytes(std::move(down));
-  }
   // Never block: RESULT delivery runs under QueryChannel::mu_, which the
   // loop thread needs to drain anything.
   if (!ReserveQueueSlot(conn, lock, /*may_block=*/false)) return;
-  conn->data.push_back(OutFrame{std::move(out), false});
+  conn->data.push_back(OutFrame{frame, false});
   ++conn->enqueued;
   metrics_.UpdateQueueHwm(static_cast<int64_t>(conn->data.size()));
   metrics_.AddResultFrameOut();
@@ -1073,20 +1044,36 @@ void FragmentServer::HandleReadable(Connection* conn) {
     conn->reader.Feed(buf, n.value());
     for (;;) {
       auto next = conn->reader.Next();
-      if (!next.ok()) {  // malformed stream; cut the connection
-        DestroyConnection(conn);
+      if (!next.ok()) {
+        // A peer speaking another frame version gets a clean BYE, which
+        // it reads as a handshake rejection; any other malformed stream
+        // is cut.
+        if (!conn->handshaken &&
+            next.status().code() == StatusCode::kUnsupported) {
+          metrics_.AddHandshakeFailure();
+          RejectHandshake(conn);
+          PumpWrites(conn);
+        } else {
+          DestroyConnection(conn);
+        }
         return;
       }
       if (!next.value().has_value()) break;
       const Frame& frame = *next.value();
-      metrics_.AddFrameIn(static_cast<int64_t>(
-          (frame.wire_version == kFrameVersionCrc ? kFrameHeaderSizeCrc
-                                                  : kFrameHeaderSize) +
-          frame.payload.size()));
+      metrics_.AddFrameIn(
+          static_cast<int64_t>(kFrameHeaderSize + frame.payload.size()));
       if (!frame.crc_ok) {
         // Client→server traffic is all control; a corrupt request is the
-        // client's to retry. Count it and move on.
+        // client's to retry. Count it and move on — except a mangled
+        // HELLO, which leaves nothing to serve: cut the connection
+        // without a BYE (that would read as a semantic rejection) so
+        // the subscriber redials with a clean one.
         metrics_.AddFrameCorrupt();
+        if (!conn->handshaken) {
+          metrics_.AddHandshakeFailure();
+          DestroyConnection(conn);
+          return;
+        }
         continue;
       }
       if (!HandleFrame(conn, frame)) {
@@ -1105,7 +1092,6 @@ void FragmentServer::HandleReadable(Connection* conn) {
 
 bool FragmentServer::HandleFrame(Connection* conn, const Frame& frame) {
   if (!conn->handshaken) {
-    bool reject_with_bye = true;
     Status st = Status::InvalidArgument("first frame must be HELLO");
     if (frame.type == FrameType::kHello) {
       auto hello = DecodeHello(frame.payload);
@@ -1119,22 +1105,12 @@ bool FragmentServer::HandleFrame(Connection* conn, const Frame& frame) {
         metrics_.AddHandshakeFailure();
         return false;
       }
-      st = HandleHello(conn, hello.value(), frame);
+      st = HandleHello(conn, hello.value());
     }
     if (!st.ok()) {
       metrics_.AddHandshakeFailure();
-      if (reject_with_bye) {
-        Frame bye;
-        bye.type = FrameType::kBye;
-        auto bye_bytes = EncodeFrame(bye, kFrameVersion);
-        if (bye_bytes.ok()) {
-          EnqueueCtrl(conn, SharedBytes(std::move(bye_bytes).MoveValue()));
-        }
-        conn->close_after_flush = true;
-        (void)loop_->Update(conn->sock.fd(), /*want_read=*/false,
-                            /*want_write=*/true);
-      }
-      return reject_with_bye;  // with a BYE queued, close after the flush
+      RejectHandshake(conn);
+      return true;  // with a BYE queued, close after the flush
     }
     conn->handshaken = true;
     return true;
@@ -1192,8 +1168,17 @@ bool FragmentServer::HandleFrame(Connection* conn, const Frame& frame) {
   return true;
 }
 
-Status FragmentServer::HandleHello(Connection* conn, const Hello& hello,
-                                   const Frame& frame) {
+void FragmentServer::RejectHandshake(Connection* conn) {
+  Frame bye;
+  bye.type = FrameType::kBye;
+  auto bytes = EncodeFrame(bye);
+  if (bytes.ok()) EnqueueCtrl(conn, SharedBytes(std::move(bytes).MoveValue()));
+  conn->close_after_flush = true;
+  (void)loop_->Update(conn->sock.fd(), /*want_read=*/false,
+                      /*want_write=*/true);
+}
+
+Status FragmentServer::HandleHello(Connection* conn, const Hello& hello) {
   if (hello.stream_name != source_->name()) {
     return Status::NotFound("unknown stream '" + hello.stream_name +
                             "' (serving '" + source_->name() + "')");
@@ -1202,23 +1187,9 @@ Status FragmentServer::HandleHello(Connection* conn, const Hello& hello,
     return Status::InvalidArgument(
         "tag-structure hash mismatch: subscriber holds a different schema");
   }
-  // Capability negotiation: a bit is echoed only when the peer asked AND
-  // the server can serve it, so v3 frame types never flow on a connection
-  // that did not negotiate them (old peers ignore the bits).
-  const bool peer_queries = (frame.flags & kHelloFlagQueryChannel) != 0 &&
-                            opts_.query_channel != nullptr;
-  const bool peer_filter = (frame.flags & kHelloFlagTsidFilter) != 0;
-  // Echoed only when a retention policy is actually active: peers of a
-  // server that never forgets should never see an EXPIRED frame.
-  const bool peer_retention = (frame.flags & kHelloFlagRetention) != 0 &&
-                              opts_.retention.enabled();
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->codec = hello.codec;
-    conn->peer_crc = (frame.flags & kHelloFlagCrcFrames) != 0;
-    conn->peer_queries = peer_queries;
-    conn->peer_filter = peer_filter;
-    conn->peer_retention = peer_retention;
   }
   Hello ack;
   ack.stream_name = source_->name();
@@ -1227,10 +1198,6 @@ Status FragmentServer::HandleHello(Connection* conn, const Hello& hello,
   ack.tag_structure_xml = ts_xml_;
   Frame out;
   out.type = FrameType::kHello;
-  out.flags = kHelloFlagCrcFrames;  // we always speak v2; peer decides
-  if (peer_queries) out.flags |= kHelloFlagQueryChannel;
-  if (peer_filter) out.flags |= kHelloFlagTsidFilter;
-  if (peer_retention) out.flags |= kHelloFlagRetention;
   // The stream epoch rides in the ack's (otherwise unused) seq field: a
   // subscriber resuming with seq numbers from a different epoch knows its
   // resume point is meaningless and restarts from scratch. 0 = no epoch
@@ -1239,19 +1206,12 @@ Status FragmentServer::HandleHello(Connection* conn, const Hello& hello,
   // incarnation can never advertise — forcing a clean restart then.
   out.seq = epoch_.load(std::memory_order_acquire);
   out.payload = EncodeHello(ack);
-  // HELLO frames stay v1 on the wire so a peer of either vintage can
-  // parse them; the flag bits above are the entire negotiation.
-  XCQL_ASSIGN_OR_RETURN(std::string bytes, EncodeFrame(out, kFrameVersion));
+  XCQL_ASSIGN_OR_RETURN(std::string bytes, EncodeFrame(out));
   EnqueueCtrl(conn, SharedBytes(std::move(bytes)));
   return Status::OK();
 }
 
 void FragmentServer::HandleSubscribe(Connection* conn, const Frame& frame) {
-  if (!conn->peer_filter) {
-    // Not negotiated: a v3 frame the peer promised not to send.
-    metrics_.AddBadControlFrame();
-    return;
-  }
   auto tsids = DecodeSubscribe(frame.payload);
   if (!tsids.ok()) {
     metrics_.AddBadControlFrame();
@@ -1297,8 +1257,7 @@ void FragmentServer::SendQueryStatus(Connection* conn,
   Frame frame;
   frame.type = FrameType::kQueryStatus;
   frame.payload = EncodeQueryStatus(status);
-  auto bytes = EncodeFrame(
-      frame, conn->peer_crc ? kFrameVersionCrc : kFrameVersion);
+  auto bytes = EncodeFrame(frame);
   if (!bytes.ok()) return;
   EnqueueCtrl(conn, SharedBytes(std::move(bytes).MoveValue()));
 }
@@ -1317,11 +1276,11 @@ void FragmentServer::HandleQuery(Connection* conn, const Frame& frame) {
   spec.flags &= static_cast<uint8_t>(~kQueryFlagAutoFilter);
   QueryStatus status;
   status.token = spec.token;
-  if (!conn->peer_queries) {
-    // The peer skipped negotiation (or no channel is attached): a clean
-    // control-plane refusal, not a cut connection.
+  if (opts_.query_channel == nullptr) {
+    // A clean control-plane refusal, not a cut connection: the fragment
+    // stream keeps flowing.
     status.code = kQueryStatusRejected;
-    status.message = "query channel not negotiated on this connection";
+    status.message = kNoQueryChannel;
     metrics_.AddQueryRejected();
     SendQueryStatus(conn, status);
     return;
@@ -1359,10 +1318,10 @@ void FragmentServer::HandleQuery(Connection* conn, const Frame& frame) {
   }
   metrics_.AddQueryRegistered();
   // The query registered, so it compiles: fold its relevance into the
-  // connection's subscription filter when asked (and negotiated). An
-  // unbounded query (or one touching a different stream than expected)
-  // needs everything — the filter comes off entirely.
-  if (auto_filter && conn->peer_filter) {
+  // connection's subscription filter when asked. An unbounded query (or
+  // one touching a different stream than expected) needs everything —
+  // the filter comes off entirely.
+  if (auto_filter) {
     auto relevance = opts_.query_channel->AnalyzeSpec(spec);
     if (relevance.ok()) {
       auto it = relevance.value().streams.find(source_->name());
@@ -1396,8 +1355,7 @@ void FragmentServer::HandleQuery(Connection* conn, const Frame& frame) {
       id.value(), spec.last_result_seq, conn,
       [this, conn](const std::shared_ptr<const std::string>& bytes) {
         EnqueueEncoded(conn, bytes);
-      },
-      /*send_expired=*/conn->peer_retention);
+      });
   if (!sub.ok()) {
     // Raced a concurrent UNQUERY between Register and Subscribe: retract
     // the ok with an UnknownId status; the subscriber re-issues the QUERY.
@@ -1419,16 +1377,18 @@ void FragmentServer::HandleUnquery(Connection* conn, const Frame& frame) {
   status.query_id = id.value();
   auto it = std::find(conn->query_subs.begin(), conn->query_subs.end(),
                       id.value());
-  if (!conn->peer_queries || it == conn->query_subs.end()) {
+  if (opts_.query_channel == nullptr) {
+    status.code = kQueryStatusRejected;
+    status.message = kNoQueryChannel;
+  } else if (it == conn->query_subs.end()) {
     status.code = kQueryStatusUnknownId;
     status.message = "query not subscribed on this connection";
-    SendQueryStatus(conn, status);
-    return;
+  } else {
+    conn->query_subs.erase(it);
+    opts_.query_channel->Unsubscribe(id.value(), conn);
+    (void)opts_.query_channel->Unregister(id.value());
+    status.code = kQueryStatusOk;
   }
-  conn->query_subs.erase(it);
-  opts_.query_channel->Unsubscribe(id.value(), conn);
-  (void)opts_.query_channel->Unregister(id.value());
-  status.code = kQueryStatusOk;
   SendQueryStatus(conn, status);
 }
 
@@ -1458,21 +1418,6 @@ std::shared_ptr<const std::string> FragmentServer::NextFrame(
         // this incarnation's in-memory log starts at log_base_.
         const int64_t first = static_cast<int64_t>(conn->replay_next);
         conn->replay_next = static_cast<size_t>(log_base_);
-        if (!conn->peer_retention) {
-          // The peer never negotiated EXPIRED frames: a clean BYE beats a
-          // frame type it would treat as stream corruption. Its reconnect
-          // machinery starts over (and a fresh start resumes from -1,
-          // which lands at the floor via the same path, expired-run-first).
-          conn->replaying = false;
-          conn->close_after_flush = true;
-          Frame bye;
-          bye.type = FrameType::kBye;
-          auto bye_bytes = EncodeFrame(bye, kFrameVersion);
-          if (!bye_bytes.ok()) break;
-          ++conn->enqueued;
-          ++conn->sent;
-          return SharedBytes(std::move(bye_bytes).MoveValue());
-        }
         Expired expired;
         expired.kind = Expired::kRange;
         expired.first_seq = first;
@@ -1480,8 +1425,7 @@ std::shared_ptr<const std::string> FragmentServer::NextFrame(
         f.type = FrameType::kExpired;
         f.seq = static_cast<uint64_t>(log_base_ - 1);
         f.payload = EncodeExpired(expired);
-        auto bytes = EncodeFrame(
-            f, conn->peer_crc ? kFrameVersionCrc : kFrameVersion);
+        auto bytes = EncodeFrame(f);
         if (bytes.ok()) {
           ++conn->enqueued;
           ++conn->sent;
@@ -1525,7 +1469,6 @@ std::shared_ptr<const std::string> FragmentServer::NextFrame(
         conn->pending_skip = seq;
         continue;
       }
-      auto frame = TransformFrame(stored, /*repeat=*/false, conn->peer_crc);
       // Replay frames are never queued: count them enqueued+sent at the
       // pull, keeping enqueued == sent + dropped + queue_depth exact.
       ++conn->enqueued;
@@ -1536,19 +1479,18 @@ std::shared_ptr<const std::string> FragmentServer::NextFrame(
         skip.type = FrameType::kSkipTo;
         skip.seq = static_cast<uint64_t>(conn->pending_skip);
         skip.payload = EncodeSkipTo(conn->pending_skip_start);
-        auto skip_bytes = EncodeFrame(
-            skip, conn->peer_crc ? kFrameVersionCrc : kFrameVersion);
+        auto skip_bytes = EncodeFrame(skip);
         conn->pending_skip = -1;
         conn->pending_skip_start = -1;
         if (skip_bytes.ok()) {
           ++conn->enqueued;
           ++conn->sent;
           metrics_.AddSkipOut();
-          conn->replay_stash = std::move(frame);
+          conn->replay_stash = stored;
           return SharedBytes(std::move(skip_bytes).MoveValue());
         }
       }
-      return frame;
+      return stored;
     }
   }
   // 4. The bounded data queue (live fragments, RESULTs, SKIP_TOs).
@@ -1616,12 +1558,10 @@ std::chrono::steady_clock::time_point FragmentServer::HeartbeatTick(
   bool live;
   bool idle;
   bool has_skip;
-  bool peer_crc;
   std::chrono::steady_clock::time_point skip_deadline;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     live = conn->live;
-    peer_crc = conn->peer_crc;
     has_skip = conn->pending_skip >= 0 && !conn->skip_suppressed;
     skip_deadline = conn->skip_deadline;
     idle = conn->ctrl.empty() && conn->data.empty() && !conn->replaying;
@@ -1642,8 +1582,7 @@ std::chrono::steady_clock::time_point FragmentServer::HeartbeatTick(
     conn->hb_deadline = now + opts_.heartbeat_interval;
     if (conn->handshaken && live && idle && !has_skip &&
         conn->cur == nullptr && conn->replay_stash == nullptr) {
-      auto hb = EncodeFrame(HeartbeatFrame(published_.load()),
-                            peer_crc ? kFrameVersionCrc : kFrameVersion);
+      auto hb = EncodeFrame(HeartbeatFrame(published_.load()));
       if (hb.ok()) {  // empty payload: cannot actually fail
         EnqueueCtrl(conn, SharedBytes(std::move(hb).MoveValue()));
         PumpWrites(conn);

@@ -79,8 +79,7 @@ class QueryChannel;
 /// checkpoint coverage, and then — in this order — compacts the fragment
 /// stores, drops the frame-log prefix, and trims the result logs. An
 /// expired seq range is still replayable from the WAL checkpoint; live
-/// subscribers resuming below the floor get an EXPIRED frame (after
-/// negotiating kHelloFlagRetention) or a clean BYE.
+/// subscribers resuming below the floor get an EXPIRED frame.
 struct RetentionOptions {
   /// Compact store versions whose lifespan ended more than this many
   /// seconds before the stream's high-water validTime. -1 = no time window.
@@ -156,12 +155,11 @@ struct FragmentServerOptions {
   /// outlives the process — see FragmentServer::DegradeDurability.
   /// nullptr = in-memory only.
   Wal* wal = nullptr;
-  /// Remote query channel (protocol v3): fed every log-appended fragment
-  /// and serving QUERY/UNQUERY registrations, with RESULT frames fanned
-  /// out through the same per-connection queues as fragments. Not owned;
-  /// must outlive the server. nullptr = queries are not offered (the
-  /// HELLO ack never echoes kHelloFlagQueryChannel, so v3 frames never
-  /// flow).
+  /// Remote query channel: fed every log-appended fragment and serving
+  /// QUERY/UNQUERY registrations, with RESULT frames fanned out through
+  /// the same per-connection queues as fragments. Not owned; must outlive
+  /// the server. nullptr = queries are not offered (every QUERY and
+  /// UNQUERY is answered with kQueryStatusRejected).
   QueryChannel* query_channel = nullptr;
   /// Admission limit: active query subscriptions per connection
   /// (<= 0 = unlimited). The channel-wide cap lives in
@@ -258,7 +256,7 @@ class FragmentServer : public stream::StreamClient {
   /// \brief Oldest seq the in-memory frame log still holds (the retention
   /// floor; 0 until retention ever trims). Seqs below it are replayable
   /// only from the WAL checkpoint; a live resume below it is answered
-  /// with an EXPIRED run (negotiated peers) or a clean BYE.
+  /// with an EXPIRED run.
   int64_t log_base() const;
 
   /// \brief Runs one retention pass now (publisher thread only — the same
@@ -288,19 +286,6 @@ class FragmentServer : public stream::StreamClient {
     std::deque<OutFrame> ctrl;  // unbounded: acks, statuses, BYE
     std::deque<OutFrame> data;  // bounded: fragments, results, skips
     frag::WireCodec codec = frag::WireCodec::kPlainXml;
-    /// Peer advertised kHelloFlagCrcFrames: send v2 (checksummed) frames.
-    /// Old peers get every frame transcoded down to v1.
-    bool peer_crc = false;
-    /// Peer advertised kHelloFlagQueryChannel *and* a channel is attached:
-    /// QUERY frames are admissible and v3 frames may flow back.
-    bool peer_queries = false;
-    /// Peer advertised kHelloFlagTsidFilter: SUBSCRIBE is admissible and
-    /// SKIP_TO frames may flow back.
-    bool peer_filter = false;
-    /// Peer advertised kHelloFlagRetention *and* a retention policy is
-    /// active: EXPIRED frames may flow back. Without it a resume below
-    /// the retention floor gets a clean BYE instead.
-    bool peer_retention = false;
     bool live = false;
     bool closing = false;
     /// A BYE sits in ctrl: close once both queues and cur have flushed.
@@ -349,10 +334,8 @@ class FragmentServer : public stream::StreamClient {
     bool dead = false;  // torn down; skip in loop sweeps until erased
   };
 
-  // One published fragment, encoded once per codec the server offers.
-  // Frames are logged in the v2 (checksummed) format, as refcounted
-  // immutable buffers shared by every queue that delivers them; they are
-  // transcoded down per connection only when a peer did not negotiate v2.
+  // One published fragment, encoded once per codec the server offers, as
+  // refcounted immutable buffers shared by every queue that delivers them.
   struct LogEntry {
     std::shared_ptr<const std::string> plain;  // FRAGMENT frame, plain XML
     std::shared_ptr<const std::string> compressed;  // §4.1 payload (null
@@ -379,8 +362,10 @@ class FragmentServer : public stream::StreamClient {
   void HandleAccept();
   void HandleReadable(Connection* conn);
   bool HandleFrame(Connection* conn, const Frame& frame);  // false = cut
-  Status HandleHello(Connection* conn, const Hello& hello,
-                     const Frame& frame);
+  Status HandleHello(Connection* conn, const Hello& hello);
+  /// \brief Queues a BYE and closes the connection once it flushes: the
+  /// subscriber reads a BYE at handshake as a rejection.
+  void RejectHandshake(Connection* conn);
   void HandleSubscribe(Connection* conn, const Frame& frame);
   /// \brief Serves a QUERY frame: admission checks (connection cap, then
   /// the channel's), registration, status ack, and result-stream
@@ -419,10 +404,10 @@ class FragmentServer : public stream::StreamClient {
   /// retransmission; `bypass_filter` serves NACKs.
   void Enqueue(Connection* conn, const LogEntry& entry, int64_t seq,
                bool repeat = false, bool bypass_filter = false);
-  /// \brief Queues an already-encoded v2 frame (a RESULT from the query
-  /// channel), transcoding for old peers and applying the same
-  /// slow-consumer policy as Enqueue. Unlike fragments it does not wait
-  /// for `live`: a QUERY may directly follow the HELLO.
+  /// \brief Queues an already-encoded frame (a RESULT from the query
+  /// channel), applying the same slow-consumer policy as Enqueue. Unlike
+  /// fragments it does not wait for `live`: a QUERY may directly follow
+  /// the HELLO.
   void EnqueueEncoded(Connection* conn,
                       const std::shared_ptr<const std::string>& frame);
   void EnqueueCtrl(Connection* conn,

@@ -18,12 +18,6 @@ constexpr size_t kMaxPoisonLog = 16;
 // row with zero progress means the frames are not coming.
 constexpr int kHeartbeatLagThreshold = 2;
 
-// Consecutive handshake rejections before the subscriber gives up for
-// good. A genuine wrong-stream/wrong-schema rejection repeats every time,
-// so fatal still surfaces within a few backoff rounds; a HELLO mangled in
-// flight (control-plane chaos) gets retried instead of wedging forever.
-constexpr int kHandshakeRejectLimit = 3;
-
 }  // namespace
 
 FragmentSubscriber::FragmentSubscriber(FragmentSubscriberOptions options)
@@ -91,10 +85,6 @@ void FragmentSubscriber::Run() {
         std::lock_guard<std::mutex> lock(state_mu_);
         was_connected = connected_;
         connected_ = false;
-        wire_version_ = kFrameVersion;
-        server_queries_ = false;
-        server_filter_ = false;
-        server_retention_ = false;
         sock_.Close();
         state_cv_.notify_all();
       }
@@ -117,15 +107,23 @@ Status FragmentSubscriber::SendFrame(const Frame& frame) {
   if (!sock_.valid() || !connected_) {
     return Status::Internal("subscriber not connected");
   }
-  if (frame.type == FrameType::kRepeatRequest &&
-      wire_version_ != kFrameVersionCrc) {
-    return Status::Unsupported(
-        "server did not negotiate v2 frames (no REPEAT_REQUEST support)");
-  }
-  XCQL_ASSIGN_OR_RETURN(std::string bytes, EncodeFrame(frame, wire_version_));
+  XCQL_ASSIGN_OR_RETURN(std::string bytes, EncodeFrame(frame));
   XCQL_RETURN_NOT_OK(sock_.SendAll(bytes.data(), bytes.size()));
   metrics_.AddFrameOut(static_cast<int64_t>(bytes.size()));
   return Status::OK();
+}
+
+void FragmentSubscriber::RejectHandshake() {
+  // A genuine wrong-stream/wrong-schema/wrong-version rejection repeats
+  // every time, so fatal still surfaces within a few backoff rounds; a
+  // HELLO mangled in flight (control-plane chaos) gets retried instead of
+  // wedging forever.
+  metrics_.AddHandshakeFailure();
+  if (++handshake_rejects_ >= kHandshakeRejectLimit) {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    fatal_ = true;
+    state_cv_.notify_all();
+  }
 }
 
 bool FragmentSubscriber::RepairRequested(int64_t filler_id) const {
@@ -156,14 +154,8 @@ void FragmentSubscriber::Session() {
   hello.ts_hash = ts_xml_.empty() ? 0 : TagStructureHash(ts_xml_);
   Frame out;
   out.type = FrameType::kHello;
-  // Advertise v2 frames, the query channel and per-tsid filters; the ack
-  // decides each (an old server ignores unknown flag bits, so v3 types
-  // never flow to it).
-  out.flags = kHelloFlagCrcFrames | kHelloFlagQueryChannel |
-              kHelloFlagTsidFilter | kHelloFlagRetention;
   out.payload = EncodeHello(hello);
-  // HELLO always goes out v1 so servers of either vintage can parse it.
-  auto hello_bytes = EncodeFrame(out, kFrameVersion);
+  auto hello_bytes = EncodeFrame(out);
   if (!hello_bytes.ok()) return;
   const std::string& bytes = hello_bytes.value();
   if (!sock_.SendAll(bytes.data(), bytes.size()).ok()) return;
@@ -209,13 +201,20 @@ void FragmentSubscriber::Session() {
     reader.Feed(buf, got);
     for (;;) {
       auto next = reader.Next();
-      if (!next.ok()) return;  // malformed stream: drop and reconnect
+      if (!next.ok()) {
+        // A server speaking another frame version can never complete the
+        // handshake: that is a rejection. Anything else malformed is a
+        // damaged stream to drop and redial.
+        if (!handshaken &&
+            next.status().code() == StatusCode::kUnsupported) {
+          RejectHandshake();
+        }
+        return;
+      }
       if (!next.value().has_value()) break;
       Frame frame = std::move(*next.value());
-      metrics_.AddFrameIn(static_cast<int64_t>(
-          (frame.wire_version == kFrameVersionCrc ? kFrameHeaderSizeCrc
-                                                  : kFrameHeaderSize) +
-          frame.payload.size()));
+      metrics_.AddFrameIn(
+          static_cast<int64_t>(kFrameHeaderSize + frame.payload.size()));
       if (!frame.crc_ok) {
         // Bits flipped in flight. The frame's content is untrusted, so
         // treat it exactly like a gap: end the session and resume via
@@ -226,12 +225,7 @@ void FragmentSubscriber::Session() {
       if (!handshaken) {
         // The server answers HELLO with HELLO, or BYE on rejection.
         if (frame.type != FrameType::kHello) {
-          metrics_.AddHandshakeFailure();
-          if (++handshake_rejects_ >= kHandshakeRejectLimit) {
-            std::lock_guard<std::mutex> lock(state_mu_);
-            fatal_ = true;
-            state_cv_.notify_all();
-          }
+          RejectHandshake();
           return;
         }
         auto ack = DecodeHello(frame.payload);
@@ -250,12 +244,7 @@ void FragmentSubscriber::Session() {
           ok = false;
         }
         if (!ok) {
-          metrics_.AddHandshakeFailure();
-          if (++handshake_rejects_ >= kHandshakeRejectLimit) {
-            std::lock_guard<std::mutex> lock(state_mu_);
-            fatal_ = true;
-            state_cv_.notify_all();
-          }
+          RejectHandshake();
           return;
         }
         handshaken = true;
@@ -263,12 +252,6 @@ void FragmentSubscriber::Session() {
         {
           std::lock_guard<std::mutex> lock(state_mu_);
           if (ts_xml_.empty()) ts_xml_ = ack.value().tag_structure_xml;
-          wire_version_ = (frame.flags & kHelloFlagCrcFrames)
-                              ? kFrameVersionCrc
-                              : kFrameVersion;
-          server_queries_ = (frame.flags & kHelloFlagQueryChannel) != 0;
-          server_filter_ = (frame.flags & kHelloFlagTsidFilter) != 0;
-          server_retention_ = (frame.flags & kHelloFlagRetention) != 0;
           connected_ = true;
           if (ever_connected_) metrics_.AddReconnect();
           ever_connected_ = true;
@@ -309,7 +292,7 @@ void FragmentSubscriber::Session() {
         }
         // Install the subscription filter before asking for the replay,
         // so the catch-up itself is already filtered (and SKIP_TO-covered).
-        if (!opts_.filter_tsids.empty() && server_filter()) {
+        if (!opts_.filter_tsids.empty()) {
           Frame sub;
           sub.type = FrameType::kSubscribe;
           sub.payload = EncodeSubscribe(opts_.filter_tsids);
@@ -363,20 +346,15 @@ void FragmentSubscriber::Session() {
           }
           auto fragment = frag::DecodeWirePayload(frame.payload, *ts_, codec);
           if (!fragment.ok()) {
-            if (frame.wire_version == kFrameVersionCrc) {
-              // The checksum held, so these are the bytes the server sent:
-              // retrying cannot fix a malformed payload. Quarantine it and
-              // keep the stream alive instead of reconnecting forever into
-              // the same poison frame.
-              QuarantinePoison(seq, fragment.status(), frame.payload.size());
-              std::lock_guard<std::mutex> lock(pending_mu_);
-              last_seq_ = seq;
-              pending_cv_.notify_all();
-              break;
-            }
-            // v1 frame: transit corruption and sender poison look the
-            // same; resync via reconnect like any other damaged stream.
-            return;
+            // The checksum held, so these are the bytes the server sent:
+            // retrying cannot fix a malformed payload. Quarantine it and
+            // keep the stream alive instead of reconnecting forever into
+            // the same poison frame.
+            QuarantinePoison(seq, fragment.status(), frame.payload.size());
+            std::lock_guard<std::mutex> lock(pending_mu_);
+            last_seq_ = seq;
+            pending_cv_.notify_all();
+            break;
           }
           metrics_.AddFragmentIn();
           std::lock_guard<std::mutex> lock(pending_mu_);
@@ -587,7 +565,6 @@ Status FragmentSubscriber::SendQuery(RemoteQuerySpec spec) {
 }
 
 void FragmentSubscriber::ResendQueries() {
-  if (!server_queries()) return;  // old server: queries stay inactive
   std::vector<RemoteQuerySpec> to_send;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
@@ -617,10 +594,10 @@ Result<uint32_t> FragmentSubscriber::AddRemoteQuery(RemoteQuerySpec spec) {
     q.spec = spec;
     queries_[token] = std::move(q);
   }
-  // Already on a session that speaks queries: register now rather than at
-  // the next reconnect. A failure is not fatal — the session is dying and
-  // the reconnect's ResendQueries covers it.
-  if (server_queries()) (void)SendQuery(std::move(spec));
+  // Already connected: register now rather than at the next reconnect. A
+  // failure is not fatal — no session, or a dying one, and the next
+  // handshake's ResendQueries covers it.
+  (void)SendQuery(std::move(spec));
   return token;
 }
 
@@ -689,21 +666,6 @@ Result<RemoteQueryState> FragmentSubscriber::query_state(
                             std::to_string(token));
   }
   return it->second.state;
-}
-
-bool FragmentSubscriber::server_queries() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return connected_ && server_queries_;
-}
-
-bool FragmentSubscriber::server_filter() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return connected_ && server_filter_;
-}
-
-bool FragmentSubscriber::server_retention() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return connected_ && server_retention_;
 }
 
 Result<int> FragmentSubscriber::DrainInto(frag::FragmentStore* store) {
@@ -806,7 +768,6 @@ Result<RepairSummary> FragmentSubscriber::RepairMissing(
       std::lock_guard<std::mutex> lock(repair_mu_);
       --repairs_[id].attempts;
     }
-    if (st.code() == StatusCode::kUnsupported) return st;
   }
   return sum;
 }
@@ -889,11 +850,6 @@ bool FragmentSubscriber::connected() const {
 bool FragmentSubscriber::handshake_failed() const {
   std::lock_guard<std::mutex> lock(state_mu_);
   return fatal_;
-}
-
-bool FragmentSubscriber::server_crc() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return connected_ && wire_version_ == kFrameVersionCrc;
 }
 
 Result<std::string> FragmentSubscriber::TagStructureXml() const {

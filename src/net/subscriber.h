@@ -13,8 +13,8 @@
 // the full stream.
 //
 // Fault handling (docs/ROBUSTNESS.md):
-//  * a v2 frame failing its checksum is counted (frames_corrupt) and
-//    treated as a gap — the session ends and resumes via REPLAY_FROM;
+//  * a frame failing its checksum is counted (frames_corrupt) and treated
+//    as a gap — the session ends and resumes via REPLAY_FROM;
 //  * a connection with no bytes for liveness_timeout is declared half-dead
 //    (liveness_timeouts) and re-dialed with backoff;
 //  * a heartbeat showing the server ahead of our contiguous prefix with no
@@ -50,6 +50,10 @@
 
 namespace xcql::net {
 
+/// Consecutive handshake rejections (a BYE, a mismatching ack, or a frame
+/// in another wire version) after which the subscriber gives up for good.
+inline constexpr int kHandshakeRejectLimit = 3;
+
 struct FragmentSubscriberOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
@@ -78,13 +82,12 @@ struct FragmentSubscriberOptions {
   /// discarded and the subscription restarts from scratch.
   int64_t initial_last_seq = -1;
   uint64_t known_epoch = 0;
-  /// Per-tsid subscription filter (protocol v3): when non-empty, a
-  /// SUBSCRIBE frame carrying these tag-structure ids goes out after every
-  /// handshake (before REPLAY_FROM, so replays are filtered too). The
-  /// server expands each id to its schema subtree and delivers only
-  /// matching fragments, covering the filtered runs with SKIP_TO frames so
-  /// the contiguous prefix still advances. Ignored by servers that do not
-  /// echo kHelloFlagTsidFilter.
+  /// Per-tsid subscription filter: when non-empty, a SUBSCRIBE frame
+  /// carrying these tag-structure ids goes out after every handshake
+  /// (before REPLAY_FROM, so replays are filtered too). The server expands
+  /// each id to its schema subtree and delivers only matching fragments,
+  /// covering the filtered runs with SKIP_TO frames so the contiguous
+  /// prefix still advances.
   std::vector<int> filter_tsids;
 };
 
@@ -147,8 +150,6 @@ class FragmentSubscriber {
   /// thread): NACKs each missing filler that still has retry budget and is
   /// past its retry interval, marks fillers repaired once the store no
   /// longer misses them, and declares the budget-exhausted ones lost.
-  /// Fails if the server did not negotiate the v2 protocol (old servers
-  /// have no REPEAT_REQUEST).
   Result<RepairSummary> RepairMissing(const frag::FragmentStore& store);
 
   /// \brief Version-aware NACK for one filler the caller believes is only
@@ -177,13 +178,10 @@ class FragmentSubscriber {
 
   bool connected() const;
 
-  /// \brief True once the server rejected the handshake (wrong stream or
-  /// schema hash); the subscriber has given up reconnecting.
+  /// \brief True once the server rejected the handshake (wrong stream,
+  /// schema hash or frame version) kHandshakeRejectLimit times in a row;
+  /// the subscriber has given up reconnecting.
   bool handshake_failed() const;
-
-  /// \brief True while the current session negotiated v2 (checksummed)
-  /// frames with the server.
-  bool server_crc() const;
 
   /// \brief The stream epoch the server advertised at the last handshake
   /// (0 until then, or against a pre-epoch server). When this changes
@@ -201,10 +199,10 @@ class FragmentSubscriber {
 
   MetricsSnapshot metrics() const;
 
-  /// \brief Registers a remote continuous query (protocol v3): the spec
-  /// travels to the server in a QUERY frame on the current session and on
-  /// every reconnect, resuming each time from the last contiguous result
-  /// seq so the accumulated result stream never gaps or duplicates. The
+  /// \brief Registers a remote continuous query: the spec travels to the
+  /// server in a QUERY frame on the current session and on every
+  /// reconnect, resuming each time from the last contiguous result seq so
+  /// the accumulated result stream never gaps or duplicates. The
   /// spec's token and resume seq are overwritten; the returned token
   /// identifies the registration in DrainResults() / query_state().
   /// Callable before Start() and from any thread.
@@ -228,19 +226,6 @@ class FragmentSubscriber {
                         std::chrono::milliseconds timeout) const;
 
   Result<RemoteQueryState> query_state(uint32_t token) const;
-
-  /// \brief True while the current session negotiated the query channel
-  /// (server echoed kHelloFlagQueryChannel).
-  bool server_queries() const;
-
-  /// \brief True while the current session negotiated per-tsid filters
-  /// (server echoed kHelloFlagTsidFilter).
-  bool server_filter() const;
-
-  /// \brief True while the current session negotiated retention (server
-  /// echoed kHelloFlagRetention: a retention policy is active and EXPIRED
-  /// frames may flow instead of a BYE when we resume below the floor).
-  bool server_retention() const;
 
   /// \brief Severs the current connection (as a network fault would),
   /// exercising the reconnect + REPLAY_FROM path. Test/chaos hook.
@@ -278,8 +263,11 @@ class FragmentSubscriber {
   Status SendQuery(RemoteQuerySpec spec);
   bool SleepBackoff(std::chrono::milliseconds delay);
   /// Serialized post-handshake send on the current socket (receive thread
-  /// and RepairMissing callers share it), in the negotiated wire version.
+  /// and RepairMissing callers share it).
   Status SendFrame(const Frame& frame);
+  /// Counts one handshake rejection; the kHandshakeRejectLimit-th in a row
+  /// is fatal. Receive thread only.
+  void RejectHandshake();
   /// Whether a repeat-flagged frame for `filler_id` was actually NACKed
   /// (anything else is an unsolicited retransmission to discard).
   bool RepairRequested(int64_t filler_id) const;
@@ -296,16 +284,6 @@ class FragmentSubscriber {
   bool connected_ = false;
   bool fatal_ = false;
   bool ever_connected_ = false;
-  /// Wire version for outgoing frames, per the HELLO flag negotiation.
-  uint8_t wire_version_ = kFrameVersion;
-  /// Current session negotiated the query channel (HELLO ack echoed the
-  /// flag). Guarded by state_mu_.
-  bool server_queries_ = false;
-  /// Current session negotiated per-tsid filters. Guarded by state_mu_.
-  bool server_filter_ = false;
-  /// Current session negotiated retention / EXPIRED frames. Guarded by
-  /// state_mu_.
-  bool server_retention_ = false;
   std::string ts_xml_;  // set at first handshake (or from options)
   Socket sock_;         // guarded by state_mu_; owned by the receive thread
 

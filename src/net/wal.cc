@@ -144,14 +144,12 @@ Result<std::string> EncodeManifest(uint64_t epoch,
   frame.type = FrameType::kHello;
   frame.seq = epoch;
   frame.payload = EncodeHello(manifest);
-  XCQL_ASSIGN_OR_RETURN(std::string bytes,
-                        EncodeFrame(frame, kFrameVersionCrc));
+  XCQL_ASSIGN_OR_RETURN(std::string bytes, EncodeFrame(frame));
   if (base_seq > 0) {
     Frame marker;
     marker.type = FrameType::kReplayFrom;
     marker.seq = static_cast<uint64_t>(base_seq);
-    XCQL_ASSIGN_OR_RETURN(std::string marker_bytes,
-                          EncodeFrame(marker, kFrameVersionCrc));
+    XCQL_ASSIGN_OR_RETURN(std::string marker_bytes, EncodeFrame(marker));
     bytes += marker_bytes;
   }
   return bytes;
@@ -278,12 +276,11 @@ Result<ScannedFile> ScanRecordFile(const std::string& path,
           ": record seq " + std::to_string(frame.seq) +
           " failed its CRC32C (disk corruption, not a torn write)");
     }
-    if (frame.type != FrameType::kFragment ||
-        frame.wire_version != kFrameVersionCrc) {
+    if (frame.type != FrameType::kFragment) {
       return Status::Internal(
           "wal poison: " + path + " at offset " + std::to_string(before) +
           ": unexpected " + std::string(FrameTypeName(frame.type)) +
-          " frame (wal files hold v2 FRAGMENT records only)");
+          " frame (wal files hold FRAGMENT records only)");
     }
     WalRecord rec;
     rec.seq = static_cast<int64_t>(frame.seq);
@@ -736,8 +733,8 @@ Status Wal::AppendLocked(int64_t seq, std::string_view frame_bytes) {
         "wal append out of order: got seq %lld, expected %lld",
         static_cast<long long>(seq), static_cast<long long>(next_seq_)));
   }
-  if (frame_bytes.size() < kFrameHeaderSizeCrc) {
-    return Status::InvalidArgument("wal record is not an encoded v2 frame");
+  if (frame_bytes.size() < kFrameHeaderSize) {
+    return Status::InvalidArgument("wal record is not an encoded frame");
   }
   // From here on a failure means the write path itself is sick (rotation,
   // write, or fsync): the record's durability is unknowable, and any

@@ -86,8 +86,8 @@ struct ServeOptions {
   // Paper-faithful cost model for the monitor query: linear filler scans
   // instead of the default hash-indexed lookup.
   bool paper_faithful = false;
-  // Remote query channel (protocol v3): admission limits. --no-queries
-  // turns the channel off entirely (the HELLO ack never offers it).
+  // Remote query channel: admission limits. --no-queries turns the
+  // channel off entirely (every QUERY is answered with a rejection).
   bool queries = true;
   int max_queries = 64;
   int max_queries_per_conn = 8;

@@ -10,7 +10,7 @@
 //             --query 'count(stream("auction")//item)' [--compressed]
 //
 // With --remote the query is not evaluated here at all: it travels to the
-// server in a QUERY frame (protocol v3, docs/REMOTE_QUERIES.md), the
+// server in a QUERY frame (docs/REMOTE_QUERIES.md), the
 // server's query channel evaluates it once per published fragment, and
 // this process just prints the RESULT delta stream — added items as [+],
 // removed as [-]. --method, --holes and --paper-faithful ride along in
@@ -240,23 +240,26 @@ int main(int argc, char** argv) {
   xcql::stream::ContinuousQueryEngine engine(&hub, &clock);
 
   if (opt.remote) {
-    if (!subscriber.server_queries()) {
-      std::fprintf(stderr,
-                   "xcql_tail: server did not negotiate the query channel "
-                   "(--no-queries or pre-v3 peer); rerun without --remote\n");
-      return 1;
+    // Wait for the server's answer: an ack activates the query, while a
+    // QUERY_STATUS rejection (a server without a query channel, an
+    // admission limit, bad XCQL) carries the reason.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    auto qs = subscriber.query_state(query_token);
+    while (qs.ok() && !qs.value().active &&
+           qs.value().last_code == xcql::net::kQueryStatusOk &&
+           std::chrono::steady_clock::now() < deadline) {
+      subscriber.WaitQueryActive(query_token, std::chrono::milliseconds(50));
+      qs = subscriber.query_state(query_token);
     }
-    if (!subscriber.WaitQueryActive(query_token, std::chrono::seconds(10))) {
-      auto qs = subscriber.query_state(query_token);
+    if (!qs.ok() || !qs.value().active) {
       std::fprintf(stderr, "xcql_tail: remote query not admitted%s%s\n",
                    qs.ok() && !qs.value().last_message.empty() ? ": " : "",
                    qs.ok() ? qs.value().last_message.c_str() : "");
       return 1;
     }
-    auto qs = subscriber.query_state(query_token);
     std::printf("remote query active (server id %llu)\n",
-                static_cast<unsigned long long>(
-                    qs.ok() ? qs.value().query_id : 0));
+                static_cast<unsigned long long>(qs.value().query_id));
   }
 
   int query_id = -1;
@@ -285,16 +288,13 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(opt.interval_ms));
     auto drained = subscriber.DrainInto(store);
     if (Fail(drained.status())) return 1;
-    // NACK any fillers whose holes are still dangling (v2 servers only).
-    if (subscriber.server_crc()) {
-      auto repair = subscriber.RepairMissing(*store);
-      if (repair.ok() && repair.value().nacks_sent > 0) {
-        std::printf("repair: %d missing, %d NACKed (%d repaired, %d lost "
-                    "so far)\n",
-                    repair.value().missing, repair.value().nacks_sent,
-                    repair.value().repaired_total,
-                    repair.value().lost_total);
-      }
+    // NACK any fillers whose holes are still dangling.
+    auto repair = subscriber.RepairMissing(*store);
+    if (repair.ok() && repair.value().nacks_sent > 0) {
+      std::printf("repair: %d missing, %d NACKed (%d repaired, %d lost "
+                  "so far)\n",
+                  repair.value().missing, repair.value().nacks_sent,
+                  repair.value().repaired_total, repair.value().lost_total);
     }
     if (opt.remote) {
       std::vector<xcql::net::RemoteQueryResult> results;

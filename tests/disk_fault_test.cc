@@ -100,7 +100,7 @@ std::string RecordFor(int64_t seq) {
   f.type = FrameType::kFragment;
   f.seq = static_cast<uint64_t>(seq);
   f.payload = PayloadFor(seq);
-  auto bytes = EncodeFrame(f, kFrameVersionCrc);
+  auto bytes = EncodeFrame(f);
   EXPECT_TRUE(bytes.ok());
   return bytes.ok() ? std::move(bytes).MoveValue() : std::string();
 }

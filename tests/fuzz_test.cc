@@ -134,12 +134,12 @@ class FrameFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(FrameFuzzTest, MutatedFramesNeverCrashOrForgeAChecksum) {
   // Truncated and bit-flipped frame streams, fed in random-sized chunks,
   // must never crash the reader, over-read, or — the integrity property —
-  // produce a checksum-verified v2 frame that differs from a frame
-  // actually encoded. 1-3 bit flips are always within CRC32C's detection
+  // produce a checksum-verified frame that differs from a frame actually
+  // encoded. 1-3 bit flips are always within CRC32C's detection
   // distance at these frame sizes, so any frame that verifies can only be
   // one the mutations never touched.
   Random rng(GetParam() + 3000);
-  // Valid v2 frames of every type; no payload embeds the frame magic.
+  // Valid frames of every type; no payload embeds the frame magic.
   std::vector<net::Frame> corpus;
   net::Hello hello;
   hello.stream_name = "credit";
@@ -197,13 +197,28 @@ TEST_P(FrameFuzzTest, MutatedFramesNeverCrashOrForgeAChecksum) {
         }
         if (!next.value().has_value()) break;
         const net::Frame& got = *next.value();
-        if (got.wire_version == net::kFrameVersionCrc && got.crc_ok) {
+        if (got.crc_ok) {
           EXPECT_TRUE(matches_corpus(got))
               << "forged frame in round " << round << ": type "
               << static_cast<int>(got.type) << " seq " << got.seq;
         }
       }
     }
+
+    // A rewritten version byte is a foreign protocol, not a damaged
+    // frame: a clean Unsupported error and no frame, whatever follows.
+    std::string foreign = encoded[rng.Uniform(encoded.size())];
+    uint8_t version = net::kFrameVersion;
+    do {
+      version = static_cast<uint8_t>(rng.Uniform(256));
+    } while (version == net::kFrameVersion);
+    foreign[4] = static_cast<char>(version);
+    net::FrameReader foreign_reader;
+    foreign_reader.Feed(foreign.data(), foreign.size());
+    auto rejected = foreign_reader.Next();
+    ASSERT_FALSE(rejected.ok()) << "version " << int{version} << " decoded";
+    EXPECT_EQ(rejected.status().code(), StatusCode::kUnsupported)
+        << rejected.status().ToString();
   }
 }
 
@@ -215,7 +230,7 @@ class ControlFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ControlFuzzTest, MutatedControlFramesNeverKillTheServer) {
   // A live FragmentServer fed mutated control frames — garbage HELLOs at
   // handshake, well-framed-but-undecodable REPLAY_FROM / REPEAT_REQUEST
-  // payloads, bit-flipped v2 frames, unknown frame types — must count
+  // payloads, bit-flipped frames, unknown frame types — must count
   // each rejection (handshake_failures / bad_control_frames /
   // frames_corrupt) and keep serving: a clean subscriber connected after
   // the barrage still converges on the full stream.
@@ -245,8 +260,8 @@ TEST_P(ControlFuzzTest, MutatedControlFramesNeverKillTheServer) {
   net::FragmentServer server(&source);
   ASSERT_TRUE(server.Start().ok());
 
-  auto encode = [](const net::Frame& f, uint8_t version) {
-    auto e = net::EncodeFrame(f, version);
+  auto encode = [](const net::Frame& f) {
+    auto e = net::EncodeFrame(f);
     EXPECT_TRUE(e.ok()) << e.status().ToString();
     return e.ok() ? std::move(e).MoveValue() : std::string();
   };
@@ -289,9 +304,7 @@ TEST_P(ControlFuzzTest, MutatedControlFramesNeverKillTheServer) {
       std::string payload =
           Mutate(good_hello, &rng, 2 + static_cast<int>(rng.Uniform(8)));
       std::string wire =
-          encode({net::FrameType::kHello, net::kHelloFlagCrcFrames, 0,
-                  std::move(payload)},
-                 net::kFrameVersion);
+          encode({net::FrameType::kHello, 0, 0, std::move(payload)});
       (void)sock.SendAll(wire.data(), wire.size());
       char buf[1024];
       bool timed_out = false;
@@ -299,9 +312,7 @@ TEST_P(ControlFuzzTest, MutatedControlFramesNeverKillTheServer) {
       continue;
     }
     // Clean handshake, then a burst of hostile post-handshake frames.
-    std::string wire = encode(
-        {net::FrameType::kHello, net::kHelloFlagCrcFrames, 0, good_hello},
-        net::kFrameVersion);
+    std::string wire = encode({net::FrameType::kHello, 0, 0, good_hello});
     ASSERT_TRUE(sock.SendAll(wire.data(), wire.size()).ok());
     if (!read_until(sock, net::FrameType::kHello)) continue;
     for (int k = 0; k < 6; ++k) {
@@ -328,11 +339,10 @@ TEST_P(ControlFuzzTest, MutatedControlFramesNeverKillTheServer) {
           break;
       }
       const bool flip = rng.Uniform(4) == 3;
-      std::string bytes = encode(f, net::kFrameVersionCrc);
-      if (flip && bytes.size() > net::kFrameHeaderSizeCrc) {
-        size_t off =
-            net::kFrameHeaderSizeCrc +
-            rng.Uniform(bytes.size() - net::kFrameHeaderSizeCrc);
+      std::string bytes = encode(f);
+      if (flip && bytes.size() > net::kFrameHeaderSize) {
+        size_t off = net::kFrameHeaderSize +
+                     rng.Uniform(bytes.size() - net::kFrameHeaderSize);
         bytes[off] ^= static_cast<char>(1 << rng.Uniform(8));
       }
       if (!sock.SendAll(bytes.data(), bytes.size()).ok()) break;
@@ -347,23 +357,19 @@ TEST_P(ControlFuzzTest, MutatedControlFramesNeverKillTheServer) {
     auto conn = net::ConnectTo("127.0.0.1", server.port());
     ASSERT_TRUE(conn.ok());
     net::Socket sock = std::move(conn).MoveValue();
-    std::string wire = encode(
-        {net::FrameType::kHello, 0, 0, "not-a-hello-payload"},
-        net::kFrameVersion);
+    std::string wire =
+        encode({net::FrameType::kHello, 0, 0, "not-a-hello-payload"});
     ASSERT_TRUE(sock.SendAll(wire.data(), wire.size()).ok());
   }
   {
     auto conn = net::ConnectTo("127.0.0.1", server.port());
     ASSERT_TRUE(conn.ok());
     net::Socket sock = std::move(conn).MoveValue();
-    std::string wire = encode(
-        {net::FrameType::kHello, net::kHelloFlagCrcFrames, 0, good_hello},
-        net::kFrameVersion);
+    std::string wire = encode({net::FrameType::kHello, 0, 0, good_hello});
     ASSERT_TRUE(sock.SendAll(wire.data(), wire.size()).ok());
     ASSERT_TRUE(read_until(sock, net::FrameType::kHello));
-    std::string bad = encode(
-        {net::FrameType::kReplayFrom, 0, 0, std::string("zz")},
-        net::kFrameVersionCrc);
+    std::string bad =
+        encode({net::FrameType::kReplayFrom, 0, 0, std::string("zz")});
     ASSERT_TRUE(sock.SendAll(bad.data(), bad.size()).ok());
     std::this_thread::sleep_for(50ms);
   }

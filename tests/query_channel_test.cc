@@ -858,7 +858,7 @@ TEST(RemoteQueryTest, EndToEndMatchesLocalReference) {
   ASSERT_TRUE(token.ok()) << token.status().ToString();
   ASSERT_TRUE(sub.Start().ok());
   ASSERT_TRUE(sub.WaitConnected(5s));
-  EXPECT_TRUE(sub.server_queries());
+  EXPECT_TRUE(sub.connected());
   ASSERT_TRUE(sub.WaitQueryActive(token.value(), 5s));
 
   std::vector<frag::Fragment> frags = {MakeRoot({1, 2}),
@@ -894,10 +894,9 @@ TEST(RemoteQueryTest, EndToEndMatchesLocalReference) {
   server.Stop();
 }
 
-TEST(RemoteQueryTest, UnnegotiatedChannelNeverActivatesQueries) {
-  // A server without a channel never echoes kHelloFlagQueryChannel; the
-  // client holds its QUERY (no v3 frames flow unnegotiated) and the data
-  // plane is unaffected.
+TEST(RemoteQueryTest, ServerWithoutAChannelRejectsQueries) {
+  // A server without a channel answers the QUERY with a clean
+  // kQueryStatusRejected, and the data plane is unaffected.
   stream::StreamServer source("pkts", MustParseTs(kPacketTs));
   FragmentServer server(&source);
   ASSERT_TRUE(server.Start().ok());
@@ -910,7 +909,12 @@ TEST(RemoteQueryTest, UnnegotiatedChannelNeverActivatesQueries) {
   ASSERT_TRUE(token.ok());
   ASSERT_TRUE(sub.Start().ok());
   ASSERT_TRUE(sub.WaitConnected(5s));
-  EXPECT_FALSE(sub.server_queries());
+  ASSERT_TRUE(PollFor(
+      [&] {
+        auto st = sub.query_state(token.value());
+        return st.ok() && st.value().last_code != kQueryStatusOk;
+      },
+      5s));
 
   ASSERT_TRUE(source.Publish(MakePacket(1, 1000, 1)).ok());
   ASSERT_TRUE(sub.WaitForSeq(0, 5s));
@@ -918,7 +922,9 @@ TEST(RemoteQueryTest, UnnegotiatedChannelNeverActivatesQueries) {
   auto state = sub.query_state(token.value());
   ASSERT_TRUE(state.ok());
   EXPECT_FALSE(state.value().active);
-  EXPECT_EQ(state.value().last_code, 0u);  // never answered, never sent
+  EXPECT_EQ(state.value().last_code, kQueryStatusRejected);
+  EXPECT_FALSE(state.value().last_message.empty());
+  EXPECT_GE(server.metrics().queries_rejected, 1);
   EXPECT_EQ(server.metrics().bad_control_frames, 0);
   sub.Stop();
   server.Stop();

@@ -78,7 +78,7 @@ std::string RecordFor(int64_t seq) {
   f.type = FrameType::kFragment;
   f.seq = static_cast<uint64_t>(seq);
   f.payload = PayloadFor(seq);
-  auto bytes = EncodeFrame(f, kFrameVersionCrc);
+  auto bytes = EncodeFrame(f);
   EXPECT_TRUE(bytes.ok());
   return bytes.ok() ? std::move(bytes).MoveValue() : std::string();
 }
@@ -502,7 +502,7 @@ TEST_F(WalTest, RestoreStreamRebuildsPublishedHistory) {
       frame.type = FrameType::kFragment;
       frame.seq = static_cast<uint64_t>(i);
       frame.payload = std::move(payload).MoveValue();
-      auto bytes = EncodeFrame(frame, kFrameVersionCrc);
+      auto bytes = EncodeFrame(frame);
       ASSERT_TRUE(bytes.ok());
       ASSERT_TRUE(wal.value()->Append(i, bytes.value()).ok());
     }
